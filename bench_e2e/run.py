@@ -73,8 +73,7 @@ def main():
     # Whoever terminates this script must not leave the benchmark running.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
 
-    build_root = os.environ.get("CARGO_TARGET_DIR", ".bench_build")
-    build_dir = os.path.join(ROOT, build_root, "bench_e2e")
+    build_dir = os.path.join(ROOT, ".bench_build", "bench_e2e")
     build(build_dir)
 
     selftest = subprocess.run([os.path.join(build_dir, "bench_e2e_selftest")],

@@ -130,9 +130,8 @@ struct Samples {
   std::vector<double> get_job_rtt_ms;
   std::vector<double> get_result_rtt_ms;
   std::vector<double> polls_per_job;
-  std::vector<JobTimeline> timelines;
-  std::uint64_t jobs_done = 0;
-  std::uint64_t shots_done = 0;
+  std::vector<JobTimeline> timelines;  // one per completed job
+  std::vector<std::uint64_t> job_shots;  // that job's shots
   double cpu_s = 0;
   void merge(const Samples& other);
 };
@@ -172,7 +171,9 @@ std::int64_t thread_cpu_ns();
 
 /// Restarts the process's peak-RSS high-water mark (Linux clear_refs 5),
 /// so peak_rss_mb() covers only what follows: the measured window, not
-/// the bench's own verification afterwards. False where unsupported.
+/// the bench's own verification afterwards. Freed heap goes back to the
+/// system first, so what earlier set-ups left behind does not count.
+/// False where unsupported.
 bool reset_peak_rss();
 /// VmHWM of this process in MB (the daemon runs in-process).
 double peak_rss_mb();

@@ -1,3 +1,4 @@
+#include <malloc.h>
 #include <time.h>
 
 #include <fstream>
@@ -150,8 +151,7 @@ void Samples::merge(const Samples& other) {
   append(get_result_rtt_ms, other.get_result_rtt_ms);
   append(polls_per_job, other.polls_per_job);
   append(timelines, other.timelines);
-  jobs_done += other.jobs_done;
-  shots_done += other.shots_done;
+  append(job_shots, other.job_shots);
   cpu_s += other.cpu_s;
 }
 
@@ -234,8 +234,7 @@ bool fetch_result(KeepAliveClient& client, Ops& ops, const Tenant& tenant,
       ms_between(timeline.sent, timeline.result_done));
   samples.polls_per_job.push_back(static_cast<double>(polls));
   samples.timelines.push_back(timeline);
-  ++samples.jobs_done;
-  samples.shots_done += shots;
+  samples.job_shots.push_back(shots);
   if (last_done != nullptr) last_done->store(id, std::memory_order_relaxed);
   return true;
 }
@@ -265,6 +264,7 @@ std::int64_t thread_cpu_ns() {
 }
 
 bool reset_peak_rss() {
+  malloc_trim(0);
   std::ofstream clear_refs("/proc/self/clear_refs");
   clear_refs << "5";
   clear_refs.flush();

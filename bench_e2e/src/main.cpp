@@ -9,17 +9,20 @@
 // untraced and then traced (bench-side QRMI decorator, trace reads and
 // in-process layer probes) and reports the per-layer metrics plus the
 // traced run's overhead against the untraced one. Exits non-zero on any
-// failed operation or violated correctness check.
+// failed operation or violated correctness check, and, without a result,
+// when the host steals too much CPU for the figures to mean anything.
 #include <sys/statfs.h>
 #include <sys/utsname.h>
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -100,6 +103,22 @@ std::pair<double, double> cpu_steal() {
   return {steal, total};
 }
 
+// Host CPU steal above this share of a run's jiffies invalidates an
+// untraced run. On hybrid_loop, jobs_per_s fell about twice as fast as
+// steal rose, so at 8% steal a run reads some 16% low: most of the 0.25
+// bound the gate allows, spent on the host rather than the daemon. Such a
+// run is measured again while attempts fit in the budget; if none is
+// quiet enough, the run fails without a result. Traced runs only print
+// the share: per-layer metrics carry no bound.
+constexpr double kMaxStealFrac = 0.08;
+constexpr double kAttemptBudgetS = 120;
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 int usage(const char* why) {
   std::fprintf(stderr,
                "bench_e2e: %s\nusage: bench_e2e --workload "
@@ -137,15 +156,36 @@ int main(int argc, char** argv) {
   qcenv::common::Logger::instance().set_level(qcenv::common::LogLevel::kWarn);
   print_context(options);
 
-  Ops ops;
+  std::unique_ptr<Ops> ops;  // the reported attempt's
   Metrics metrics;
   Metrics reported;  // printed for the reader, outside the result
-  const auto steal_before = cpu_steal();
+  const auto started = std::chrono::steady_clock::now();
   try {
-    const RunOutput plain = run_workload(options, false, ops);
+    RunOutput plain;
+    for (int attempt = 1;; ++attempt) {
+      ops = std::make_unique<Ops>();
+      const auto attempt_began = std::chrono::steady_clock::now();
+      const auto before = cpu_steal();
+      plain = run_workload(options, false, *ops);
+      const auto after = cpu_steal();
+      const double jiffies = after.second - before.second;
+      const double steal =
+          jiffies > 0 ? (after.first - before.first) / jiffies : 0.0;
+      std::printf("context: attempt=%d cpu_steal_frac=%.4f\n", attempt, steal);
+      // A failed check is reported, never measured away.
+      if (options.trace || steal <= kMaxStealFrac || ops->failed() > 0) break;
+      if (seconds_since(started) + seconds_since(attempt_began) >
+          kAttemptBudgetS) {
+        std::fprintf(stderr,
+                     "bench_e2e: host too noisy: CPU steal %.3f > %.2f on "
+                     "every attempt\n",
+                     steal, kMaxStealFrac);
+        return 3;
+      }
+    }
     metrics = plain.end_to_end;
     if (options.trace) {
-      const RunOutput traced = run_workload(options, true, ops);
+      const RunOutput traced = run_workload(options, true, *ops);
       for (const auto& [name, metric] : traced.end_to_end) {
         std::printf("traced %-32s %14.6f %s\n", name.c_str(), metric.value,
                     metric.unit.c_str());
@@ -165,11 +205,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_e2e: %s\n", error.what());
     return 1;
   }
-  const auto steal_after = cpu_steal();
-  const double jiffies = steal_after.second - steal_before.second;
-  std::printf("context: cpu_steal_frac=%.4f\n",
-              jiffies > 0 ? (steal_after.first - steal_before.first) / jiffies
-                          : 0.0);
   for (const auto& [name, metric] : metrics) {
     std::printf("%-40s %14.6f %s\n", name.c_str(), metric.value,
                 metric.unit.c_str());
@@ -179,16 +214,16 @@ int main(int argc, char** argv) {
                 metric.value, metric.unit.c_str());
   }
   for (const auto& [name, metric] : metrics) {
-    ops.check(std::isfinite(metric.value), name + " is not a finite number");
+    ops->check(std::isfinite(metric.value), name + " is not a finite number");
   }
-  for (const std::string& failure : ops.failures()) {
+  for (const std::string& failure : ops->failures()) {
     std::printf("FAILED: %s\n", failure.c_str());
   }
-  const bool correct = ops.failed() == 0;
+  const bool correct = ops->failed() == 0;
   std::string json = "{\"correct\": ";
   json += correct ? "true" : "false";
-  json += ", \"attempted\": " + std::to_string(ops.attempted());
-  json += ", \"failed\": " + std::to_string(ops.failed());
+  json += ", \"attempted\": " + std::to_string(ops->attempted());
+  json += ", \"failed\": " + std::to_string(ops->failed());
   json += ", \"metrics\": {";
   bool first = true;
   for (const auto& [name, metric] : metrics) {

@@ -43,6 +43,19 @@ int tail_permille(std::size_t n) {
   return 0;
 }
 
+Slicing::Slicing(std::int64_t from, std::int64_t to, std::int64_t slice_ns)
+    : from_(from),
+      to_(std::max(to, from + 1)),
+      count_(static_cast<std::size_t>(
+          std::max<std::int64_t>(1, (to_ - from_) / slice_ns))),
+      width_((to_ - from_) / static_cast<std::int64_t>(count_)) {}
+
+std::size_t Slicing::index(std::int64_t t) const {
+  if (t < from_ || t >= to_) return count_;
+  // The last slice also takes the remainder of the integer division.
+  return std::min(count_ - 1, static_cast<std::size_t>((t - from_) / width_));
+}
+
 TurnaroundParts partition(const JobTimeline& job) {
   TurnaroundParts parts;
   parts.submit_enqueue = job.submitted - job.sent;

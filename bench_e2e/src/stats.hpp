@@ -1,6 +1,7 @@
 // The benchmark's own statistics: quantiles under the "at least ten
-// samples beyond" rule, and the per-job turnaround partition check. Kept
-// free of daemon types so the self-test can pin them down exactly.
+// samples beyond" rule, the slicing of a measured window, and the per-job
+// turnaround partition check. Kept free of daemon types so the self-test
+// can pin them down exactly.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,22 @@ std::size_t samples_beyond(std::size_t n, int permille);
 /// The highest of p50/p90/p95/p99/p99.9 that keeps at least ten samples
 /// beyond it, in permille; 0 when even the median has fewer than ten.
 int tail_permille(std::size_t n);
+
+/// [from, to) cut into equal slices of at least `slice_ns` each, or one
+/// slice when the span is shorter.
+class Slicing {
+ public:
+  Slicing(std::int64_t from, std::int64_t to, std::int64_t slice_ns);
+  std::size_t count() const { return count_; }
+  double width_s() const { return static_cast<double>(width_) / 1e9; }
+  /// The slice holding `t`, or count() when `t` lies outside [from, to).
+  std::size_t index(std::int64_t t) const;
+
+ private:
+  std::int64_t from_, to_;
+  std::size_t count_;
+  std::int64_t width_;
+};
 
 /// One job as the client and the daemon saw it, all on the host's
 /// steady clock (the daemon's WallClock is steady_clock too).

@@ -1,5 +1,6 @@
-// Self-test of the benchmark's own statistics: the quantile rule and the
-// turnaround partition check. run.py runs it before every benchmark run.
+// Self-test of the benchmark's own statistics: the quantile rule, the
+// slicing of a measured window and the turnaround partition check. run.py
+// runs it before every benchmark run.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -47,6 +48,21 @@ void quantile_rule() {
   expect(tail_permille(9999) == 990, "9999 samples do not support p99.9");
   expect(tail_permille(10000) == 999, "10000 samples support p99.9");
 
+}
+
+void slicing() {
+  const Slicing window(1000, 1000 + 20'500, 2000);
+  expect(window.count() == 10, "20.5 units in slices of 2 make 10");
+  expect(window.width_s() == 2050 / 1e9, "slices share the remainder");
+  expect(window.index(1000) == 0, "the window's start is in slice 0");
+  expect(window.index(1000 + 2049) == 0 && window.index(1000 + 2050) == 1,
+         "slices meet end to end");
+  expect(window.index(1000 + 20'499) == 9, "the last instant is in slice 9");
+  expect(window.index(999) == 10 && window.index(1000 + 20'500) == 10,
+         "instants outside the window are in no slice");
+  const Slicing short_window(0, 1500, 2000);
+  expect(short_window.count() == 1 && short_window.index(1499) == 0,
+         "a window shorter than a slice is one slice");
 }
 
 JobTimeline ordered() {
@@ -110,6 +126,7 @@ void partition_check() {
 
 int main() {
   quantile_rule();
+  slicing();
   partition_check();
   if (failures == 0) std::printf("bench_e2e self-test: all checks passed\n");
   return failures == 0 ? 0 : 1;
