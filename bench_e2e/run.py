@@ -11,20 +11,27 @@ The first run configures and builds the qcenv library and the benchmark
 changed. Every run executes the benchmark's statistics self-test first and
 then the benchmark, whose last stdout line is the JSON result. Exits
 non-zero, printing no result, when the sources, the build or the self-test
-fail, and with the benchmark's own code otherwise.
+fail, and with the benchmark's own code otherwise. An untraced run that the
+host robbed of too much CPU (exit 3) is measured again, in a fresh process,
+while attempts fit in ATTEMPT_BUDGET_S; if none is quiet enough, the attempt
+with the least steal is reported, since a run must end with a result.
 """
 
 import argparse
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("hybrid_loop", "ingest_drain", "busy_qpu")
 RUN_TIMEOUT_S = 170
+ATTEMPT_BUDGET_S = 120
+NOISY_HOST = 3
 
 
 def fail(message):
@@ -87,13 +94,30 @@ def main():
     command = [os.path.join(build_dir, "bench_e2e"), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds),
                "--trace", args.trace, "--work-dir", work_dir]
-    try:
-        code = subprocess.run(command, timeout=RUN_TIMEOUT_S).returncode
-    except subprocess.TimeoutExpired:
-        fail("benchmark exceeded %d s" % RUN_TIMEOUT_S)
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
-    sys.exit(code)
+    started = time.monotonic()
+    noisy = []  # (steal, stdout) of each attempt that exited NOISY_HOST
+    while True:
+        began = time.monotonic()
+        try:
+            done = subprocess.run(command, stdout=subprocess.PIPE, text=True,
+                                  timeout=RUN_TIMEOUT_S - (began - started))
+        except subprocess.TimeoutExpired:
+            fail("benchmark exceeded %d s" % RUN_TIMEOUT_S)
+        finally:
+            shutil.rmtree(work_dir, ignore_errors=True)
+        if done.returncode != NOISY_HOST:
+            sys.stdout.write(done.stdout)
+            sys.exit(done.returncode)
+        steal = re.search(r"cpu_steal_frac=([0-9.]+)", done.stdout)
+        noisy.append((float(steal.group(1)) if steal else 1.0, done.stdout))
+        now = time.monotonic()
+        # Another attempt as long as this one must still fit in the budget.
+        if (now - started) + (now - began) > ATTEMPT_BUDGET_S:
+            break
+        print("bench_e2e: measuring again", file=sys.stderr)
+    print("bench_e2e: no quiet attempt; reporting the least disturbed", file=sys.stderr)
+    sys.stdout.write(min(noisy)[1])
+    sys.exit(0)
 
 
 if __name__ == "__main__":

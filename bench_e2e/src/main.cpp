@@ -9,20 +9,18 @@
 // untraced and then traced (bench-side QRMI decorator, trace reads and
 // in-process layer probes) and reports the per-layer metrics plus the
 // traced run's overhead against the untraced one. Exits non-zero on any
-// failed operation or violated correctness check, and, without a result,
-// when the host steals too much CPU for the figures to mean anything.
+// failed operation or violated correctness check, and with 3 after the
+// result when the host stole enough CPU to disturb the figures.
 #include <sys/statfs.h>
 #include <sys/utsname.h>
 
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -103,21 +101,18 @@ std::pair<double, double> cpu_steal() {
   return {steal, total};
 }
 
-// Host CPU steal above this share of a run's jiffies invalidates an
-// untraced run. On hybrid_loop, jobs_per_s fell about twice as fast as
-// steal rose, so at 8% steal a run reads some 16% low: most of the 0.25
-// bound the gate allows, spent on the host rather than the daemon. Such a
-// run is measured again while attempts fit in the budget; if none is
-// quiet enough, the run fails without a result. Traced runs only print
-// the share: per-layer metrics carry no bound.
-constexpr double kMaxStealFrac = 0.08;
-constexpr double kAttemptBudgetS = 120;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+// Host CPU steal above this share of a run's jiffies disturbs an untraced
+// run: on hybrid_loop, jobs_per_s fell about twice as fast as steal rose,
+// so at 10% steal a run reads some 20% low. Such a run still prints its
+// result but exits with kNoisyHost. run.py then measures it again while
+// attempts fit in its budget, in a fresh process so that nothing the
+// first attempt left in memory counts in peak_rss_mb, and reports the
+// attempt with the least steal. The threshold is not lower because each
+// retry costs a whole run: on a shared 4-vCPU VM about one attempt in
+// twenty exceeded 10%. Traced runs only print the share: per-layer
+// metrics carry no bound.
+constexpr double kMaxStealFrac = 0.10;
+constexpr int kNoisyHost = 3;
 
 int usage(const char* why) {
   std::fprintf(stderr,
@@ -156,36 +151,26 @@ int main(int argc, char** argv) {
   qcenv::common::Logger::instance().set_level(qcenv::common::LogLevel::kWarn);
   print_context(options);
 
-  std::unique_ptr<Ops> ops;  // the reported attempt's
+  Ops ops;
   Metrics metrics;
   Metrics reported;  // printed for the reader, outside the result
-  const auto started = std::chrono::steady_clock::now();
+  bool noisy = false;
   try {
-    RunOutput plain;
-    for (int attempt = 1;; ++attempt) {
-      ops = std::make_unique<Ops>();
-      const auto attempt_began = std::chrono::steady_clock::now();
-      const auto before = cpu_steal();
-      plain = run_workload(options, false, *ops);
-      const auto after = cpu_steal();
-      const double jiffies = after.second - before.second;
-      const double steal =
-          jiffies > 0 ? (after.first - before.first) / jiffies : 0.0;
-      std::printf("context: attempt=%d cpu_steal_frac=%.4f\n", attempt, steal);
-      // A failed check is reported, never measured away.
-      if (options.trace || steal <= kMaxStealFrac || ops->failed() > 0) break;
-      if (seconds_since(started) + seconds_since(attempt_began) >
-          kAttemptBudgetS) {
-        std::fprintf(stderr,
-                     "bench_e2e: host too noisy: CPU steal %.3f > %.2f on "
-                     "every attempt\n",
-                     steal, kMaxStealFrac);
-        return 3;
-      }
+    const auto before = cpu_steal();
+    const RunOutput plain = run_workload(options, false, ops);
+    const auto after = cpu_steal();
+    const double jiffies = after.second - before.second;
+    const double steal =
+        jiffies > 0 ? (after.first - before.first) / jiffies : 0.0;
+    std::printf("context: cpu_steal_frac=%.4f\n", steal);
+    noisy = !options.trace && steal > kMaxStealFrac;
+    if (noisy) {
+      std::fprintf(stderr, "bench_e2e: host too noisy: CPU steal %.3f > %.2f\n",
+                   steal, kMaxStealFrac);
     }
     metrics = plain.end_to_end;
     if (options.trace) {
-      const RunOutput traced = run_workload(options, true, *ops);
+      const RunOutput traced = run_workload(options, true, ops);
       for (const auto& [name, metric] : traced.end_to_end) {
         std::printf("traced %-32s %14.6f %s\n", name.c_str(), metric.value,
                     metric.unit.c_str());
@@ -196,8 +181,8 @@ int main(int argc, char** argv) {
           1.0 - traced.end_to_end.at("jobs_per_s").value / untraced,
           "fraction"};
     }
-    // Tails come from the untraced run in either mode; untraced runs print
-    // them for the reader, outside the result.
+    // The client.* figures come from the untraced run in either mode;
+    // untraced runs print them for the reader, outside the result.
     for (const auto& [name, metric] : plain.per_layer) {
       (options.trace ? metrics : reported)[name] = metric;
     }
@@ -214,16 +199,16 @@ int main(int argc, char** argv) {
                 metric.value, metric.unit.c_str());
   }
   for (const auto& [name, metric] : metrics) {
-    ops->check(std::isfinite(metric.value), name + " is not a finite number");
+    ops.check(std::isfinite(metric.value), name + " is not a finite number");
   }
-  for (const std::string& failure : ops->failures()) {
+  for (const std::string& failure : ops.failures()) {
     std::printf("FAILED: %s\n", failure.c_str());
   }
-  const bool correct = ops->failed() == 0;
+  const bool correct = ops.failed() == 0;
   std::string json = "{\"correct\": ";
   json += correct ? "true" : "false";
-  json += ", \"attempted\": " + std::to_string(ops->attempted());
-  json += ", \"failed\": " + std::to_string(ops->failed());
+  json += ", \"attempted\": " + std::to_string(ops.attempted());
+  json += ", \"failed\": " + std::to_string(ops.failed());
   json += ", \"metrics\": {";
   bool first = true;
   for (const auto& [name, metric] : metrics) {
@@ -235,5 +220,7 @@ int main(int argc, char** argv) {
   json += "}}";
   std::printf("%s\n", json.c_str());
   std::fflush(stdout);
-  return correct ? 0 : 1;
+  // A failed check is reported, never measured away.
+  if (!correct) return 1;
+  return noisy ? kNoisyHost : 0;
 }
