@@ -148,4 +148,16 @@ class [[nodiscard]] Status {
     if (!qcenv_status_.ok()) return qcenv_status_.error(); \
   } while (0)
 
+/// ASSIGN_OR_RETURN(decl, result_expr): early-return the error of a Result,
+/// else move its value into `decl` (a declaration or an lvalue). Expands to
+/// several statements, so never use it as the body of an unbraced `if`.
+#define QCENV_ASSIGN_OR_RETURN(decl, expr) \
+  QCENV_ASSIGN_OR_RETURN_(QCENV_CONCAT_(qcenv_result_, __LINE__), decl, expr)
+#define QCENV_ASSIGN_OR_RETURN_(tmp, decl, expr) \
+  auto tmp = (expr);                             \
+  if (!(tmp).ok()) return (tmp).error();         \
+  decl = std::move(tmp).value()
+#define QCENV_CONCAT_(a, b) QCENV_CONCAT_INNER_(a, b)
+#define QCENV_CONCAT_INNER_(a, b) a##b
+
 }  // namespace qcenv::common

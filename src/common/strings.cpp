@@ -1,9 +1,11 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <random>
+#include <system_error>
 
 namespace qcenv::common {
 
@@ -95,6 +97,24 @@ std::string format_duration_ns(long long ns) {
   if (abs_ns < 1e6) return format("%.2f us", static_cast<double>(ns) / 1e3);
   if (abs_ns < 1e9) return format("%.2f ms", static_cast<double>(ns) / 1e6);
   return format("%.3f s", static_cast<double>(ns) / 1e9);
+}
+
+Result<std::uint64_t> parse_decimal(std::string_view text,
+                                    std::string_view what) {
+  const char* const end = text.data() + text.size();
+  std::uint64_t value = 0;
+  // Unsigned from_chars accepts no sign, whitespace or exponent, so only
+  // overflow needs a message of its own.
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    return err::invalid_argument(std::string(what) + " is out of range");
+  }
+  if (ec != std::errc{} || stop != end) {
+    return err::invalid_argument(std::string(what) +
+                                 " must be a non-negative integer, got '" +
+                                 std::string(text) + "'");
+  }
+  return value;
 }
 
 std::string random_token(std::size_t bytes) {

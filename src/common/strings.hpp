@@ -1,9 +1,12 @@
 // Small string utilities shared across modules.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/result.hpp"
 
 namespace qcenv::common {
 
@@ -34,6 +37,15 @@ std::string format_double_shortest(double value);
 
 /// Fixed-width human-friendly engineering formatting, e.g. "1.23 ms".
 std::string format_duration_ns(long long ns);
+
+/// Strict decimal parse for untrusted text (REST ids and query values,
+/// replication headers, the epoch file, Content-Length): all of `text`
+/// must be ASCII digits -- no sign, space, exponent or fraction -- and fit
+/// in a uint64. The invalid_argument error names `what`:
+/// "<what> must be a non-negative integer, got '<text>'" or
+/// "<what> is out of range".
+Result<std::uint64_t> parse_decimal(std::string_view text,
+                                    std::string_view what);
 
 /// Random lowercase-hex token of `bytes*2` characters (for session tokens).
 std::string random_token(std::size_t bytes = 16);

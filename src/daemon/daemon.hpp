@@ -3,15 +3,20 @@
 // broker, the dispatcher, telemetry and the admin/low-level surface behind
 // one HTTP server.
 //
-// REST surface (user endpoints authenticate with X-Session-Token; admin
-// endpoints with X-Admin-Key):
+// REST surface. Every route is one row of the table in install_routes():
+// {method, pattern, access, handler}. Access is public, session
+// (X-Session-Token), owned job (a session, and `:id` names one of the
+// caller's jobs) or admin (X-Admin-Key). A 401 comes before any 400; a 400
+// body names the bad parameter; ids and numeric query values are plain
+// non-negative decimals.
 //   POST   /v1/sessions               {user, class}        -> session+token
-//   DELETE /v1/sessions               (token header)       -> close session
+//   DELETE /v1/sessions               (session)            -> close session
 //   GET    /v1/device                                      -> device spec
 //   GET    /v1/resources                                   -> fleet status
-//   POST   /v1/jobs                   {payload, partition?,
+//   POST   /v1/jobs                   (session) {payload, partition?,
 //                                      resource?, policy?} -> {job_id}
-//   GET    /v1/jobs/:id                                     -> job status
+//   GET    /v1/jobs                   (session)            -> caller's jobs
+//   GET    /v1/jobs/:id               (owned job)          -> job status
 //   GET    /v1/jobs/:id/trace          -> per-stage timeline (span tree)
 //   GET    /v1/jobs/:id/eta            -> predicted start/finish window
 //                                         (also embedded in submit 201s)
@@ -19,9 +24,10 @@
 //   GET    /v1/jobs/:id/result                              -> samples
 //   DELETE /v1/jobs/:id                                     -> cancel
 //   GET    /v1/queue                  -> depths/order/lanes/per-user counts
-//   GET    /v1/usage                  -> caller's decayed usage, share,
-//                                        fair-share priority, rate limits
+//   GET    /v1/usage                  (session) -> caller's decayed usage,
+//                                        share, fair-share priority, limits
 //   GET    /metrics                                         -> Prometheus
+// Admin routes:
 //   GET    /admin/status
 //   GET    /admin/events?since=N&max=M&severity=&kind=  (event tail)
 //   GET    /admin/tsdb/query?series=&start=&end=&window=&agg=  (TSDB range
@@ -35,6 +41,7 @@
 //   POST   /admin/profile/baseline?window=  (record regression baseline)
 //   POST   /admin/debug/dump            (flight-recorder forensics dump)
 //   GET    /admin/sessions
+//   POST   /admin/expire_sessions      (reap idle sessions + their jobs)
 //   GET    /admin/fairshare            (accounts/users: shares vs usage)
 //   POST   /admin/quotas/:user         {shares?, account?, submit_per_sec?,
 //                                       submit_burst?, max_inflight_shots?,
@@ -192,8 +199,9 @@ class MiddlewareDaemon {
                          JobClass session_default) const;
 
   // ---- programmatic surface ------------------------------------------------
-  // The REST routes parse JSON and delegate to these 1:1, and the simtest
-  // harness calls them directly — so every simulated submission walks the
+  // The REST routes parse JSON and delegate to these (past the session
+  // lookup the route table already did), and the simtest harness calls
+  // them directly — so every simulated submission walks the
   // exact session/admission/accounting/rollback pipeline production
   // requests do, without an HTTP round-trip per simulated event.
 
@@ -256,7 +264,15 @@ class MiddlewareDaemon {
   std::size_t session_removed(const Session& session);
   /// Session backing forwarded submissions from `user` via the peer
   /// ingress; created lazily, reused while it stays valid.
-  common::Result<std::string> ingress_session(const std::string& user);
+  common::Result<Session> ingress_session(const std::string& user);
+  /// close_session and submit_job for a caller the REST route has already
+  /// authenticated: one session lookup per request, not two.
+  common::Result<std::size_t> end_session(const Session& session);
+  common::Result<Submitted> submit_as(const Session& session,
+                                      quantum::Payload payload,
+                                      const SubmitHints& hints,
+                                      telemetry::TraceId* trace_out =
+                                          nullptr);
 
   DaemonOptions options_;
   qpu::QpuDevice* device_;

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <fstream>
 
+#include "common/strings.hpp"
 #include "net/http_client.hpp"
 #include "store/fsio.hpp"
 #include "store/records.hpp"
@@ -55,12 +56,10 @@ Result<std::uint64_t> read_epoch(const std::string& data_dir) {
   if (!in.is_open()) return std::uint64_t{0};  // never promoted here
   std::string text;
   std::getline(in, text);
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return common::err::protocol("corrupt epoch file '" +
-                                 epoch_path(data_dir) + "': '" + text + "'");
-  }
-  return static_cast<std::uint64_t>(std::stoull(text));
+  auto epoch =
+      common::parse_decimal(text, "epoch file '" + epoch_path(data_dir) + "'");
+  if (!epoch.ok()) return common::err::protocol(epoch.error().message());
+  return epoch;
 }
 
 Status write_epoch(const std::string& data_dir, std::uint64_t epoch) {

@@ -8,9 +8,9 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
+#include "common/strings.hpp"
 #include "federation/federation.hpp"
 #include "net/http_client.hpp"
 #include "store/fsio.hpp"
@@ -53,20 +53,10 @@ Result<std::uint64_t> header_u64(const net::HttpResponse& response,
     return common::err::protocol("replication response is missing the " +
                                  name + " header");
   }
-  const std::string& raw = it->second;
-  if (raw.empty() ||
-      raw.find_first_not_of("0123456789") != std::string::npos) {
-    return common::err::protocol("replication header " + name +
-                                 " is not a number: '" + raw + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw.c_str(), &end, 10);
-  if (errno == ERANGE || end != raw.c_str() + raw.size()) {
-    return common::err::protocol("replication header " + name +
-                                 " is out of range");
-  }
-  return static_cast<std::uint64_t>(value);
+  auto value =
+      common::parse_decimal(it->second, "replication header " + name);
+  if (!value.ok()) return common::err::protocol(value.error().message());
+  return value;
 }
 
 }  // namespace

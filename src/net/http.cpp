@@ -137,14 +137,11 @@ Result<bool> feed_message(std::string& buffer, std::string_view bytes,
     body_expected = 0;
     const auto it = msg.headers.find("Content-Length");
     if (it != msg.headers.end()) {
-      char* end_ptr = nullptr;
-      const unsigned long long len =
-          std::strtoull(it->second.c_str(), &end_ptr, 10);
-      if (end_ptr == it->second.c_str() || *end_ptr != '\0' ||
-          len > kMaxBodyBytes) {
+      const auto len = common::parse_decimal(it->second, "Content-Length");
+      if (!len.ok() || len.value() > kMaxBodyBytes) {
         return common::err::protocol("bad Content-Length");
       }
-      body_expected = static_cast<std::size_t>(len);
+      body_expected = static_cast<std::size_t>(len.value());
     }
     headers_done = true;
   }

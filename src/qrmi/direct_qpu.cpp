@@ -1,7 +1,5 @@
 #include "qrmi/direct_qpu.hpp"
 
-#include <cstdlib>
-
 #include "common/strings.hpp"
 
 namespace qcenv::qrmi {
@@ -37,12 +35,11 @@ Status DirectQpuQrmi::release(const std::string& token) {
 }
 
 Result<TaskId> DirectQpuQrmi::decode(const std::string& task_id) const {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(task_id.c_str(), &end, 10);
-  if (end == task_id.c_str() || *end != '\0' || value == 0) {
+  const auto value = common::parse_decimal(task_id, "task id");
+  if (!value.ok() || value.value() == 0) {
     return common::err::invalid_argument("malformed task id: " + task_id);
   }
-  return TaskId(value);
+  return TaskId(value.value());
 }
 
 Result<std::string> DirectQpuQrmi::task_start(

@@ -57,6 +57,25 @@ TEST(Strings, RandomTokenFormat) {
   EXPECT_NE(random_token(16), random_token(16));
 }
 
+TEST(Strings, ParseDecimalIsStrict) {
+  EXPECT_EQ(parse_decimal("0", "n").value(), 0u);
+  EXPECT_EQ(parse_decimal("007", "n").value(), 7u);
+  EXPECT_EQ(parse_decimal("18446744073709551615", "n").value(),
+            18446744073709551615ull);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1e3", "1.0", "12abc",
+                          "0x10"}) {
+    const auto parsed = parse_decimal(bad, "since");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(parsed.error().message(),
+              std::string("since must be a non-negative integer, got '") +
+                  bad + "'");
+  }
+  const auto overflow = parse_decimal("18446744073709551616", "since");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.error().message(), "since is out of range");
+}
+
 TEST(BucketHistogramTest, CumulativeCounts) {
   BucketHistogram h({1.0, 10.0, 100.0});
   h.observe(0.5);

@@ -72,6 +72,22 @@ TEST(Status, ReturnIfErrorMacro) {
   EXPECT_EQ(outer().error().code(), ErrorCode::kIo);
 }
 
+TEST(Result, AssignOrReturnMacro) {
+  auto half = [](int n) -> Result<int> {
+    if (n % 2 != 0) return err::invalid_argument("odd");
+    return n / 2;
+  };
+  auto quarter = [&](int n) -> Result<int> {
+    QCENV_ASSIGN_OR_RETURN(const int h, half(n));
+    int q = 0;
+    QCENV_ASSIGN_OR_RETURN(q, half(h));
+    return q;
+  };
+  EXPECT_EQ(quarter(8).value(), 2);
+  EXPECT_EQ(quarter(6).error().message(), "odd");
+  EXPECT_EQ(quarter(5).error().message(), "odd");
+}
+
 TEST(ErrorCodes, AllHaveNames) {
   EXPECT_STREQ(to_string(ErrorCode::kInvalidArgument), "invalid_argument");
   EXPECT_STREQ(to_string(ErrorCode::kResourceExhausted), "resource_exhausted");

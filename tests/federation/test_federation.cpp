@@ -79,6 +79,12 @@ TEST(EpochFile, AbsentReadsZeroAndRoundTrips) {
   // standby that trusts a garbage fence could be rolled back.
   std::ofstream(dir.path() + "/epoch", std::ios::trunc) << "not-a-number";
   EXPECT_FALSE(read_epoch(dir.path()).ok());
+  // 21 digits overflow uint64: a protocol error, not a thrown exception.
+  std::ofstream(dir.path() + "/epoch", std::ios::trunc)
+      << "123456789012345678901";
+  const auto overflow = read_epoch(dir.path());
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.error().code(), common::ErrorCode::kProtocol);
 }
 
 TEST(Replication, MirrorsLeaderJournalByteForByte) {

@@ -57,9 +57,14 @@ TEST(HttpCodec, UnsupportedVersionRejected) {
 }
 
 TEST(HttpCodec, BadContentLengthRejected) {
-  HttpRequestParser parser;
-  EXPECT_FALSE(
-      parser.feed("GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n").ok());
+  // Content-Length is 1*DIGIT: no sign, exponent or overflow.
+  for (const char* bad :
+       {"banana", "+5", "-1", "5e0", "99999999999999999999"}) {
+    const std::string head =
+        std::string("GET / HTTP/1.1\r\nContent-Length: ") + bad + "\r\n\r\n";
+    HttpRequestParser parser;
+    EXPECT_FALSE(parser.feed(head).ok()) << bad;
+  }
 }
 
 TEST(HttpCodec, ResponseRoundTrip) {
