@@ -135,29 +135,41 @@ void Dispatcher::install_priority_hook() {
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
     // Runs under shard->mutex (every core call site holds it), so the
-    // shard's records and the lambda's memo are safe; the accounting side
-    // locks internally and never calls back. The memo is seeded with the
-    // whole fair-share table in ONE population traversal per ordering
-    // pass (the core evaluates a whole pass at a single `now`), so a
-    // pass costs O(users) accounting work instead of O(users) per
-    // pending job.
-    shard->core.set_priority_hook(
-        [this, shard, memo_now = common::TimeNs{-1},
-         memo = std::map<std::string, double>{}](
-            std::uint64_t job_id, common::TimeNs now) mutable {
-          if (now != memo_now) {
-            memo = accounting_->priorities(now);
-            memo_now = now;
-          }
-          const std::string& user = shard->records.at(job_id).job.user;
-          auto it = memo.find(user);
-          if (it == memo.end()) {
-            // A user outside the known population (no usage/grant yet).
-            it = memo.emplace(user, accounting_->priority(user, now)).first;
-          }
-          return it->second;
-        });
+    // shard's records and memo are safe; the accounting side locks
+    // internally and never calls back. The ordering pass installs its
+    // fair-share table in the memo first (install_fair_share), so a
+    // tournament or a snapshot costs at most ONE population traversal for
+    // all shards, and each pending job it looks at costs a table lookup.
+    shard->core.set_priority_hook([this, shard](std::uint64_t job_id,
+                                                common::TimeNs now) {
+      FairShareMemo& memo = shard->fair_share;
+      if (memo.now != now) {  // a caller that brought no table
+        std::shared_ptr<const FairShareTable> own;
+        install_fair_share(*shard, now, own);
+      }
+      const std::string& user = shard->records.at(job_id).job.user;
+      if (const auto it = memo.table->find(user); it != memo.table->end()) {
+        return it->second;
+      }
+      auto it = memo.others.find(user);
+      if (it == memo.others.end()) {
+        it = memo.others.emplace(user, accounting_->priority(user, now)).first;
+      }
+      return it->second;
+    });
   }
+}
+
+void Dispatcher::install_fair_share(
+    Shard& shard, common::TimeNs now,
+    std::shared_ptr<const FairShareTable>& pass) const {
+  if (accounting_ == nullptr || shard.core.depth() == 0) return;
+  if (pass == nullptr) {
+    pass = std::make_shared<const FairShareTable>(accounting_->priorities(now));
+  }
+  FairShareMemo& memo = shard.fair_share;
+  if (memo.now == now && memo.table == pass) return;  // keeps `others`
+  memo = {now, pass, {}};
 }
 
 void Dispatcher::start_lanes() {
@@ -634,17 +646,15 @@ Status Dispatcher::resume_resource(const std::string& name) {
 }
 
 std::map<JobClass, std::size_t> Dispatcher::queue_depths() const {
-  std::map<JobClass, std::size_t> out = {
-      {JobClass::kProduction, 0},
-      {JobClass::kTest, 0},
-      {JobClass::kDevelopment, 0},
-  };
+  std::array<std::size_t, 3> total{};
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->mutex);
-    out[JobClass::kProduction] += shard->core.depth_of(JobClass::kProduction);
-    out[JobClass::kTest] += shard->core.depth_of(JobClass::kTest);
-    out[JobClass::kDevelopment] +=
-        shard->core.depth_of(JobClass::kDevelopment);
+    const auto depths = shard->core.class_depths();
+    for (std::size_t i = 0; i < total.size(); ++i) total[i] += depths[i];
+  }
+  std::map<JobClass, std::size_t> out;
+  for (std::size_t i = 0; i < total.size(); ++i) {
+    out[static_cast<JobClass>(i)] = total[i];
   }
   return out;
 }
@@ -662,48 +672,28 @@ std::vector<DaemonJob> Dispatcher::jobs_snapshot() const {
 }
 
 std::vector<std::uint64_t> Dispatcher::queue_order() const {
-  // One `now` for every shard so hook priorities and aging are evaluated
-  // consistently, then a k-way merge with the core's own comparator:
-  // exactly the order the dispatch tournament would drain.
-  const common::TimeNs now = clock_->now();
-  const auto locks = lock_all_shards();
-  std::vector<std::vector<PriorityQueueCore::Head>> heads;
-  heads.reserve(shards_.size());
-  bool shortest_first = false;
-  for (const auto& shard : shards_) {
-    shortest_first = shard->core.policy().shortest_first_within_class;
-    heads.push_back(shard->core.snapshot_heads(now));
-  }
-  std::vector<std::size_t> cursor(heads.size(), 0);
   std::vector<std::uint64_t> out;
-  while (true) {
-    const PriorityQueueCore::Head* best = nullptr;
-    std::size_t best_list = 0;
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (cursor[i] >= heads[i].size()) continue;
-      const PriorityQueueCore::Head& head = heads[i][cursor[i]];
-      if (best == nullptr ||
-          PriorityQueueCore::head_before(head, *best, shortest_first)) {
-        best = &head;
-        best_list = i;
-      }
-    }
-    if (best == nullptr) break;
-    out.push_back(best->job_id);
-    ++cursor[best_list];
+  for (const PendingView& view : pending_snapshot().entries) {
+    out.push_back(view.job_id);
   }
   return out;
 }
 
 Dispatcher::PendingSnapshot Dispatcher::pending_snapshot() const {
+  // One `now` and one fair-share table for every shard so hook priorities
+  // and aging are evaluated consistently, then a k-way merge with the
+  // core's own comparator: exactly the order the dispatch tournament
+  // would drain.
   PendingSnapshot out;
   out.now = clock_->now();
+  std::shared_ptr<const FairShareTable> fair_share;
   const auto locks = lock_all_shards();
   std::vector<std::vector<PriorityQueueCore::Head>> heads;
   heads.reserve(shards_.size());
   bool shortest_first = false;
   for (const auto& shard : shards_) {
     shortest_first = shard->core.policy().shortest_first_within_class;
+    install_fair_share(*shard, out.now, fair_share);
     heads.push_back(shard->core.snapshot_heads(out.now));
   }
   std::vector<std::size_t> cursor(heads.size(), 0);
@@ -1363,6 +1353,7 @@ void Dispatcher::reassign_from(const std::string& lane) {
 Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
     const std::string& lane, const qrmi::QrmiPtr& resource) {
   const common::TimeNs now = clock_->now();
+  std::shared_ptr<const FairShareTable> fair_share;  // one per tournament
   const auto eligible_in = [&](Shard& shard) {
     return [&shard, &lane](std::uint64_t job_id) {
       const std::string& placed = shard.records.at(job_id).job.resource;
@@ -1381,6 +1372,7 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
     Shard& shard = *shards_[i];
     std::scoped_lock lock(shard.mutex);
     shortest_first = shard.core.policy().shortest_first_within_class;
+    install_fair_share(shard, now, fair_share);
     const auto head = shard.core.peek_head(now, eligible_in(shard));
     if (head.has_value() &&
         (!best.has_value() ||
@@ -1402,6 +1394,7 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
     // the head (or a cancel removed it) between peek and take. The exact
     // winner matters — taking whatever is best NOW without a rescan
     // could overtake a higher-priority head in a different shard.
+    install_fair_share(shard, now, fair_share);
     const auto head = shard.core.peek_head(now, eligible_in(shard));
     if (!head.has_value() || head->job_id != best->job_id) {
       return DispatchOutcome::kRetry;

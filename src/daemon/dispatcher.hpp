@@ -224,13 +224,14 @@ class Dispatcher {
   }
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::vector<DaemonJob> jobs_snapshot() const;
-  /// Pending ids in global dispatch order (k-way merge of shard heads).
+  /// Pending ids in global dispatch order (pending_snapshot's ids).
   std::vector<std::uint64_t> queue_order() const;
 
-  /// ETA-engine introspection: every pending job's ordering keys plus the
-  /// record fields the estimator needs, in global dispatch order — the
-  /// exact k-way merge queue_order() runs, with one `now` for the whole
-  /// pass so rank/hook snapshots are mutually consistent.
+  /// Every pending job's ordering keys plus the record fields the ETA
+  /// engine and GET /v1/queue need, in global dispatch order: a k-way
+  /// merge of each shard's sorted heads with the tournament's comparator,
+  /// with one `now` and one fair-share table for the whole pass so
+  /// rank/hook snapshots are mutually consistent.
   struct PendingView {
     std::uint64_t job_id = 0;
     std::string user;
@@ -344,6 +345,21 @@ class Dispatcher {
     bool trace_materialized = false;
   };
 
+  /// Fair-share priority per user, as AccountingManager::priorities
+  /// returns it.
+  using FairShareTable = std::map<std::string, double>;
+  /// What a shard's priority hook reads: the table of the ordering pass
+  /// that holds the shard's lock. A pass (one tournament, one pending
+  /// snapshot) computes the table at most once, at its `now`, and hands
+  /// the same read-only table to every shard it visits.
+  struct FairShareMemo {
+    common::TimeNs now = -1;
+    std::shared_ptr<const FairShareTable> table;
+    /// Users outside the table (no usage or grant yet), priced on first
+    /// sight in this pass; users never span shards, so once per pass.
+    std::map<std::string, double> others;
+  };
+
   /// One submit shard: a tenant's entire dispatcher-side state lives in
   /// exactly one shard (hash of the user name), so the submit hot path
   /// takes one shard mutex and touches nothing global but atomics.
@@ -364,6 +380,7 @@ class Dispatcher {
     /// Per-user SLO counters (see UserSlo); bumped under this mutex on
     /// submit and terminal transitions.
     std::map<std::string, UserSlo> user_slo;
+    FairShareMemo fair_share;
   };
 
   enum class DispatchOutcome {
@@ -378,6 +395,12 @@ class Dispatcher {
                                const qrmi::QrmiPtr& resource);
   void start_lanes();
   void install_priority_hook();
+  /// Hands `shard`'s priority hook the fair-share table of the ordering
+  /// pass at `now` (shard lock held). `pass` starts null; the first shard
+  /// with pending jobs computes it (one population traversal) and the
+  /// pass's other shards share it. No-op without accounting.
+  void install_fair_share(Shard& shard, common::TimeNs now,
+                          std::shared_ptr<const FairShareTable>& pass) const;
   Shard& shard_for_user(const std::string& user) const;
   /// Shard holding `job_id` (via the striped index), or nullptr. The
   /// mapping is immutable for a job's lifetime; the stripe lock is

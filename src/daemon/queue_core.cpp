@@ -55,37 +55,19 @@ int PriorityQueueCore::effective_rank(const Entry& entry,
   return rank;
 }
 
-std::vector<const PriorityQueueCore::Entry*> PriorityQueueCore::ordered(
-    common::TimeNs now) const {
-  std::vector<const Entry*> order;
-  order.reserve(entries_.size());
-  for (const auto& [_, entry] : entries_) order.push_back(&entry);
-  // Evaluate the hook once per entry, not once per comparison: the hook
-  // may consult the accounting subsystem, and the sort must see one
-  // consistent priority per job for the whole pass.
-  std::map<std::uint64_t, double> hook_priority;
+PriorityQueueCore::Head PriorityQueueCore::head_of(
+    const Entry& entry, common::TimeNs now) const {
+  Head head;
+  head.job_id = entry.job_id;
+  head.cls = entry.cls;
+  head.rank = effective_rank(entry, now);
   if (priority_hook_) {
-    for (const Entry* entry : order) {
-      hook_priority[entry->job_id] = priority_hook_(entry->job_id, now);
-    }
+    head.has_hook = true;
+    head.hook = priority_hook_(entry.job_id, now);
   }
-  std::sort(order.begin(), order.end(),
-            [&](const Entry* a, const Entry* b) {
-              const int ra = effective_rank(*a, now);
-              const int rb = effective_rank(*b, now);
-              if (ra != rb) return ra < rb;
-              if (priority_hook_) {
-                const double pa = hook_priority.at(a->job_id);
-                const double pb = hook_priority.at(b->job_id);
-                if (pa != pb) return pa > pb;  // under-served first
-              }
-              if (policy_.shortest_first_within_class &&
-                  a->remaining_shots != b->remaining_shots) {
-                return a->remaining_shots < b->remaining_shots;
-              }
-              return a->seq < b->seq;
-            });
-  return order;
+  head.remaining_shots = entry.remaining_shots;
+  head.seq = entry.seq;
+  return head;
 }
 
 std::optional<Batch> PriorityQueueCore::next_batch(common::TimeNs now) {
@@ -94,54 +76,35 @@ std::optional<Batch> PriorityQueueCore::next_batch(common::TimeNs now) {
 
 std::optional<Batch> PriorityQueueCore::next_batch(
     common::TimeNs now, const EligibleFn& eligible) {
-  if (entries_.empty()) return std::nullopt;
-  const Entry* head = nullptr;
-  for (const Entry* entry : ordered(now)) {
-    if (eligible(entry->job_id)) {
-      head = entry;
-      break;
-    }
-  }
-  if (head == nullptr) return std::nullopt;
+  const auto head = peek_head(now, eligible);
+  if (!head.has_value()) return std::nullopt;
   return take(head->job_id);
 }
 
 std::optional<PriorityQueueCore::Head> PriorityQueueCore::peek_head(
     common::TimeNs now, const EligibleFn& eligible) const {
-  for (const Entry* entry : ordered(now)) {
-    if (!eligible(entry->job_id)) continue;
-    Head head;
-    head.job_id = entry->job_id;
-    head.cls = entry->cls;
-    head.rank = effective_rank(*entry, now);
-    if (priority_hook_) {
-      head.has_hook = true;
-      head.hook = priority_hook_(entry->job_id, now);
+  // head_before is a total order (seq is unique), so the minimum of one
+  // unsorted pass is exactly the first eligible job of the sorted order.
+  std::optional<Head> best;
+  for (const auto& [job_id, entry] : entries_) {
+    if (!eligible(job_id)) continue;
+    const Head head = head_of(entry, now);
+    if (!best.has_value() ||
+        head_before(head, *best, policy_.shortest_first_within_class)) {
+      best = head;
     }
-    head.remaining_shots = entry->remaining_shots;
-    head.seq = entry->seq;
-    return head;
   }
-  return std::nullopt;
+  return best;
 }
 
 std::vector<PriorityQueueCore::Head> PriorityQueueCore::snapshot_heads(
     common::TimeNs now) const {
   std::vector<Head> heads;
   heads.reserve(entries_.size());
-  for (const Entry* entry : ordered(now)) {
-    Head head;
-    head.job_id = entry->job_id;
-    head.cls = entry->cls;
-    head.rank = effective_rank(*entry, now);
-    if (priority_hook_) {
-      head.has_hook = true;
-      head.hook = priority_hook_(entry->job_id, now);
-    }
-    head.remaining_shots = entry->remaining_shots;
-    head.seq = entry->seq;
-    heads.push_back(head);
-  }
+  for (const auto& [_, entry] : entries_) heads.push_back(head_of(entry, now));
+  std::sort(heads.begin(), heads.end(), [&](const Head& a, const Head& b) {
+    return head_before(a, b, policy_.shortest_first_within_class);
+  });
   return heads;
 }
 
@@ -216,18 +179,18 @@ bool PriorityQueueCore::pending(std::uint64_t job_id) const {
   return entries_.count(job_id) > 0;
 }
 
-std::size_t PriorityQueueCore::depth_of(JobClass cls) const {
-  std::size_t count = 0;
+std::array<std::size_t, 3> PriorityQueueCore::class_depths() const {
+  std::array<std::size_t, 3> out{};
   for (const auto& [_, entry] : entries_) {
-    if (entry.cls == cls) ++count;
+    ++out[static_cast<std::size_t>(class_rank(entry.cls))];
   }
-  return count;
+  return out;
 }
 
 std::vector<std::uint64_t> PriorityQueueCore::snapshot(
     common::TimeNs now) const {
   std::vector<std::uint64_t> out;
-  for (const Entry* entry : ordered(now)) out.push_back(entry->job_id);
+  for (const Head& head : snapshot_heads(now)) out.push_back(head.job_id);
   return out;
 }
 

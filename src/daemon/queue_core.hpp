@@ -14,6 +14,7 @@
 //    experiences to one small batch instead of a whole job.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -82,7 +83,8 @@ class PriorityQueueCore {
   /// shortest-first, then FIFO seq). The fair-share scheduler hands the
   /// under-served user's jobs forward through this. The hook must be a
   /// deterministic function of (job_id, now) — it is evaluated once per
-  /// pending job per ordering pass, under the caller's lock — so
+  /// pending job a pass looks at (every eligible job for peek_head, every
+  /// pending job for snapshot_heads), under the caller's lock — so
   /// virtual-time benches replay identically. Unset = pure FIFO tiers.
   using PriorityHook =
       std::function<double(std::uint64_t job_id, common::TimeNs now)>;
@@ -121,7 +123,7 @@ class PriorityQueueCore {
   /// The ordering keys of the job next_batch would serve right now — the
   /// per-shard half of the sharded dispatcher's tournament: peek every
   /// shard's head, pick the globally best via head_before, then take()
-  /// it from the winning shard.
+  /// it from the winning shard. One unsorted pass over the pending jobs.
   struct Head {
     std::uint64_t job_id = 0;
     JobClass cls = JobClass::kDevelopment;
@@ -133,12 +135,14 @@ class PriorityQueueCore {
   };
   std::optional<Head> peek_head(common::TimeNs now,
                                 const EligibleFn& eligible) const;
-  /// Every pending job's Head, in this core's dispatch order (global
-  /// views k-way-merge several shards' lists with head_before).
+  /// Every pending job's Head, in this core's dispatch order: one sort of
+  /// the Heads with head_before (global views k-way-merge several shards'
+  /// lists with the same comparator).
   std::vector<Head> snapshot_heads(common::TimeNs now) const;
 
-  /// Strict-weak-order over Heads matching ordered()'s comparator, so
-  /// tournament selection across shards equals single-queue dispatch.
+  /// Dispatch order over Heads: (effective rank asc, hook priority desc,
+  /// optional shortest-first, seq asc). A total order — seqs are unique —
+  /// so tournament selection across shards equals single-queue dispatch.
   static bool head_before(const Head& a, const Head& b,
                           bool shortest_first) noexcept;
 
@@ -161,7 +165,11 @@ class PriorityQueueCore {
 
   bool pending(std::uint64_t job_id) const;
   std::size_t depth() const { return entries_.size(); }
-  std::size_t depth_of(JobClass cls) const;
+  std::size_t depth_of(JobClass cls) const {
+    return class_depths()[static_cast<std::size_t>(class_rank(cls))];
+  }
+  /// Pending jobs per class, indexed by class_rank, in one pass.
+  std::array<std::size_t, 3> class_depths() const;
   /// Pending job ids in dispatch order (for the /v1/queue endpoint).
   std::vector<std::uint64_t> snapshot(common::TimeNs now) const;
 
@@ -176,9 +184,8 @@ class PriorityQueueCore {
   };
 
   int effective_rank(const Entry& entry, common::TimeNs now) const;
-  /// Dispatch order: (effective rank asc, hook priority desc, optional
-  /// shortest-first, seq asc).
-  std::vector<const Entry*> ordered(common::TimeNs now) const;
+  /// The entry's ordering keys at `now` (calls the hook once).
+  Head head_of(const Entry& entry, common::TimeNs now) const;
 
   QueuePolicy policy_;
   PriorityHook priority_hook_;
