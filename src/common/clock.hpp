@@ -66,13 +66,29 @@ class ManualClock final : public Clock {
 
   void sleep_for(DurationNs duration) override {
     if (duration <= 0) return;
-    if (auto_advance_) {
+    if (auto_advance_.load(std::memory_order_acquire)) {
       advance(duration);
       return;
     }
     std::unique_lock lock(mutex_);
     const TimeNs deadline = now_.load(std::memory_order_acquire) + duration;
-    cv_.wait(lock, [&] { return now_.load(std::memory_order_acquire) >= deadline; });
+    cv_.wait(lock, [&] {
+      return now_.load(std::memory_order_acquire) >= deadline ||
+             auto_advance_.load(std::memory_order_acquire);
+    });
+  }
+
+  /// Switches auto-advance at run time. Off: only advance()/advance_to()/
+  /// set() move time, so a caller that paces the clock is the sole source
+  /// of virtual time while threads block in sleep_for. Turning it back on
+  /// releases every blocked sleeper at once (threads that must be joined
+  /// can then run to completion with nobody advancing the clock).
+  void set_auto_advance(bool on) {
+    {
+      std::scoped_lock lock(mutex_);
+      auto_advance_.store(on, std::memory_order_release);
+    }
+    cv_.notify_all();
   }
 
   /// Moves time forward and wakes sleepers.
@@ -110,7 +126,7 @@ class ManualClock final : public Clock {
 
  private:
   std::atomic<TimeNs> now_;
-  bool auto_advance_;
+  std::atomic<bool> auto_advance_;
   std::mutex mutex_;
   std::condition_variable cv_;
 };

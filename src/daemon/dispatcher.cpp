@@ -1104,6 +1104,15 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
           record.job.resource.clear();
         }
       }
+      // Replay unplaces unpinned requeued jobs without journaling it, and
+      // a re-bind may unplace a pin: journal the placement this life
+      // holds, as reassign_from does for live failover. Otherwise a job
+      // cancelled before it is placed again replays with its old
+      // placement from the journal but with none from a snapshot.
+      if (store_ != nullptr &&
+          (!record.pinned || record.job.resource != recovered.resource)) {
+        store_->job_placed(recovered.id, record.job.resource);
+      }
       const std::uint64_t remaining =
           record.job.total_shots -
           std::min(record.job.shots_done, record.job.total_shots);
@@ -1399,6 +1408,11 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
     if (!head.has_value() || head->job_id != best->job_id) {
       return DispatchOutcome::kRetry;
     }
+    // lane_loop tested draining_ before this call; a drain() that
+    // returned since then must still hold. A job enqueued after drain()
+    // returned is visible here only through this lock, so the flag is
+    // seen set with it.
+    if (draining_.load()) return DispatchOutcome::kIdle;
     batch = shard.core.take(head->job_id);
     if (!batch.has_value()) return DispatchOutcome::kRetry;
     total_queued_.fetch_sub(1, std::memory_order_relaxed);

@@ -203,6 +203,9 @@ class Dispatcher {
   void set_idle_tick(common::DurationNs tick);
 
   /// Admin: pause/resume batch dispatch globally (maintenance windows).
+  /// No batch starts after drain() returns: a batch dispatched before it
+  /// runs to completion, and a lane re-checks the flag under the winning
+  /// shard's lock before it takes a batch.
   void drain();
   void resume();
   bool draining() const noexcept { return draining_.load(); }

@@ -365,19 +365,21 @@ class SimWorld {
     }
   }
 
-  /// Drives every scrape-grid deadline that virtual time has passed, in
-  /// order, through the pipeline's deterministic entry point. The grid
-  /// index is HARNESS state, not collector state: it survives daemon
+  /// Drives every scrape-grid deadline at or before `upto`, in order,
+  /// through the pipeline's deterministic entry point. The timeline loop
+  /// passes the plan step's own time, never the clock: lanes push the
+  /// auto-advancing clock ahead through their poll sleeps, and a deadline
+  /// past the step must not be scraped before the step is applied. The
+  /// grid index is HARNESS state, not collector state: it survives daemon
   /// restarts (a new life's collector re-anchors on the mid-run clock,
   /// which would skew the grid) and caps at the horizon so quiescence
   /// overshoot cannot mint extra samples.
-  void pump_scrapes() {
+  void pump_scrapes(TimeNs upto) {
     pump_replication();
     if (!options_.observability) return;
-    const TimeNs now = clock_.now();
     while (grid_idx_ <= max_grid_) {
       const TimeNs t = static_cast<TimeNs>(grid_idx_) * scrape_interval_;
-      if (t > now) break;
+      if (t > upto) break;
       // Advance every drifting emulator's degradation level to this grid
       // deadline — grid time in, grid time out, so the scores the scrape
       // below samples are exact functions of the seed.
@@ -405,7 +407,7 @@ class SimWorld {
   void finish_scrapes() {
     if (!options_.observability || max_grid_ == 0) return;
     clock_.advance_to(static_cast<TimeNs>(max_grid_) * scrape_interval_);
-    pump_scrapes();
+    pump_scrapes(clock_.now());
   }
 
   void submit(std::size_t user, JobClass cls, std::uint64_t shots) {
@@ -571,9 +573,15 @@ class SimWorld {
   /// Advances virtual time until every tracked job is terminal. The
   /// stall decision is a VIRTUAL-time budget past the last event — a
   /// fixed number of 2 ms advances, identical on a laptop and a loaded
-  /// CI runner — so a stalled seed replays as stalled anywhere. A far
-  /// larger real-time backstop only guards against true deadlock.
+  /// CI runner — so a stalled seed replays as stalled anywhere. That
+  /// holds only while this loop is the one thing that moves time: with
+  /// auto-advance on, every lane poll sleep adds 1 ms, a batch lasts as
+  /// many virtual ms as polls fit in its real compute time, and a deep
+  /// queue on a busy host runs the budget out while its lanes are still
+  /// working. A far larger real-time backstop only guards against true
+  /// deadlock.
   void drive_to_quiescence() {
+    const PacedClock pacing(clock_);
     const TimeNs virtual_deadline =
         clock_.now() + 2 * 60 * common::kSecond;
     const auto started = std::chrono::steady_clock::now();
@@ -609,7 +617,7 @@ class SimWorld {
         break;
       }
       clock_.advance(2 * common::kMillisecond);
-      pump_scrapes();
+      pump_scrapes(clock_.now());
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
@@ -795,15 +803,20 @@ class SimWorld {
       result_.eta_probe.push_back(eta.value().to_json().dump() + "\n" +
                                   explain.value().to_json().dump());
     }
-    // Phase 2 — calibration under a PACED clock. The scenario proper
-    // fast-forwards virtual time in catch-up jumps with no real sleeps,
-    // so lanes starve of CPU while the clock races ahead and every
-    // submit-time prediction looks late through no fault of the model.
-    // Here the lanes are resumed, a fresh batch is submitted with its
-    // predictions recorded, and virtual time advances in small steps
-    // with real sleeps in between — the lanes keep up, so actual first
-    // dispatches are a fair test of the predicted start upper bounds
-    // (checked by the calibration invariant).
+    // Phase 2 — calibration under a PACED clock. The scenario's timeline
+    // loop fast-forwards virtual time in catch-up jumps with auto-advance
+    // on, so every lane poll sleep moves the clock too: a batch's virtual
+    // length there is however many polls fit in its real compute time,
+    // and every submit-time prediction looks late through no fault of the
+    // model. Here auto-advance is off: a lane's poll sleep blocks until
+    // the pacing loop below advances, so that loop is the only thing that
+    // moves time. The lanes are resumed, a fresh batch is submitted with
+    // its predictions recorded, and virtual time advances in 2 ms steps
+    // with real sleeps in between — actual first dispatches are then a
+    // fair test of the predicted start upper bounds (checked by the
+    // calibration invariant). Auto-advance comes back on every exit from
+    // this phase (see PacedClock).
+    const PacedClock pacing(clock_);
     daemon_->dispatcher().resume();
     std::vector<std::uint64_t> paced;
     for (std::size_t i = 0; i < 5; ++i) {
@@ -897,6 +910,24 @@ class SimWorld {
   /// by setting it explicitly): scrapes the detectors swallow before they
   /// may alarm.
   static constexpr std::size_t kDriftWarmup = 20;
+
+  /// Turns the clock's auto-advance off for its lifetime, so a lane's
+  /// poll sleep waits for the harness's next advance and the harness is
+  /// the only thing that moves time. The destructor turns it back on,
+  /// which releases every lane blocked in a poll sleep: on every exit
+  /// path the daemon's lanes stay joinable.
+  class PacedClock {
+   public:
+    explicit PacedClock(common::ManualClock& clock) : clock_(clock) {
+      clock_.set_auto_advance(false);
+    }
+    ~PacedClock() { clock_.set_auto_advance(true); }
+    PacedClock(const PacedClock&) = delete;
+    PacedClock& operator=(const PacedClock&) = delete;
+
+   private:
+    common::ManualClock& clock_;
+  };
 
   bool stalled(TimeNs t) const {
     for (const auto& [from, to] : stall_windows_) {
@@ -1418,9 +1449,13 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
     // step through their poll sleeps — events then fire back-to-back, in
     // order, which preserves the schedule's semantics).
     world.clock().advance_to(step.at);
-    // Grid deadlines the jump passed fire before the step itself: a
-    // scrape scheduled at or before t observes the world as of t.
-    world.pump_scrapes();
+    // Grid deadlines up to the step's PLANNED time fire before the step
+    // itself, so a scrape at grid time g sees every step planned before g
+    // and none planned at or after it. Deadlines the lanes' overshoot has
+    // already passed wait for the next step: which ones those are is the
+    // host scheduler's, and scraping them now would miss this step's
+    // drift onset, flap or restart on some runs and not on others.
+    world.pump_scrapes(step.at);
     if (step.is_fault) {
       world.apply(plan.events[step.index]);
     } else {

@@ -20,6 +20,16 @@
 // dispatch lanes is the host's — replaying a seed replays the same
 // schedule against the same code, not the same instruction interleaving.
 // The invariants are therefore written to hold under EVERY interleaving.
+// Two outputs are pure functions of the seed, and the sweep replays a
+// seed to hold them to it: the calibration-drift alert timeline (scrapes
+// fire on the harness's grid, each before the first plan step planned at
+// or after it, never at whatever the lanes pushed the clock to) and the
+// post-scenario eta/explain probe transcript (a fresh daemon drained
+// before it can dispatch). While the scenario drains to quiescence, and
+// in the probe's paced calibration phase, only the harness moves the
+// clock: auto-advance is off there, so a lane's poll sleep waits for the
+// harness's next 2 ms step and the stall budget and the ETA check count
+// harness steps, not host-dependent poll spins.
 #pragma once
 
 #include <cstdint>

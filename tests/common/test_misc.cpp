@@ -203,6 +203,43 @@ TEST(ClockTest, BlockingSleepWokenByAdvance) {
   EXPECT_TRUE(woke.load());
 }
 
+TEST(ClockTest, AutoAdvanceSwitchedOffAndBackOn) {
+  ManualClock clock(0, /*auto_advance=*/true);
+  clock.set_auto_advance(false);
+  std::atomic<bool> woke{false};
+  std::jthread sleeper([&] {
+    clock.sleep_for(kSecond);
+    woke.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(woke.load());
+  // Short of the deadline: still blocked, and the sleeper moved no time.
+  clock.advance(kSecond / 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(woke.load());
+  EXPECT_EQ(clock.now(), kSecond / 2);
+  clock.advance(kSecond / 2);
+  sleeper.join();
+  EXPECT_TRUE(woke.load());
+  EXPECT_EQ(clock.now(), kSecond);
+
+  // A second sleeper, released by switching auto-advance back on.
+  woke.store(false);
+  std::jthread released([&] {
+    clock.sleep_for(kSecond);
+    woke.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(woke.load());
+  clock.set_auto_advance(true);
+  released.join();
+  EXPECT_TRUE(woke.load());
+  EXPECT_EQ(clock.now(), kSecond);
+  // Auto-advance is back: a sleep moves the clock itself again.
+  clock.sleep_for(kSecond);
+  EXPECT_EQ(clock.now(), 2 * kSecond);
+}
+
 TEST(ClockTest, WallClockMonotonic) {
   WallClock clock;
   const TimeNs a = clock.now();

@@ -15,6 +15,7 @@
 #include "daemon/daemon.hpp"
 #include "net/http_client.hpp"
 #include "qrmi/local_emulator.hpp"
+#include "store/recovery.hpp"
 
 namespace qcenv::daemon {
 namespace {
@@ -226,6 +227,60 @@ TEST_F(RecoveryRestartTest, CompactionSurvivesRestart) {
       quantum::Samples::from_json(Json::parse(result.value().body).value());
   ASSERT_TRUE(samples.ok());
   EXPECT_EQ(samples.value().total_shots(), 50u);
+}
+
+// A restored daemon unplaces an unpinned requeued job. If that job is then
+// cancelled before any lane places it again, a replay of the journal alone
+// and a replay after compaction must still agree on its record: the
+// restored placement has to be in the journal, not only in memory.
+TEST_F(RecoveryRestartTest, RestoredPlacementIsJournaled) {
+  auto emu = qrmi::LocalEmulatorQrmi::create("emu", "sv").value();
+  DaemonOptions options;
+  options.admin_key = "root";
+  options.store.data_dir = dir_.path();
+  std::uint64_t job_id = 0;
+
+  // First life, dispatch drained: the job is placed at submit, never run.
+  {
+    MiddlewareDaemon daemon(options, emu, nullptr, &clock_);
+    daemon.dispatcher().drain();
+    auto session = daemon.open_session("carol", JobClass::kTest);
+    ASSERT_TRUE(session.ok()) << session.error().to_string();
+    auto submitted = daemon.submit_job(session.value().token,
+                                       small_payload(40));
+    ASSERT_TRUE(submitted.ok()) << submitted.error().to_string();
+    job_id = submitted.value().id;
+    EXPECT_EQ(daemon.dispatcher().query(job_id).value().resource, "emu");
+  }
+
+  // Second life, still held: the emulator is offline before the lanes
+  // start, so no lane can place or run the job, and the admin drain
+  // would hold it even if the emulator came back.
+  emu->set_offline(true);
+  MiddlewareDaemon daemon(options, emu, nullptr, &clock_);
+  daemon.dispatcher().drain();
+  const auto restored = daemon.dispatcher().query(job_id);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value().state, DaemonJobState::kQueued);
+  EXPECT_EQ(restored.value().resource, "");
+  ASSERT_TRUE(daemon.dispatcher().cancel(job_id).ok());
+  ASSERT_TRUE(daemon.state_store()->flush().ok());
+
+  const auto job_image = [job_id](const store::RecoveredState& state) {
+    for (const auto& job : state.jobs) {
+      if (job.id == job_id) return job.to_json().dump();
+    }
+    return std::string("<missing>");
+  };
+  const std::string journal = dir_.path() + "/journal.log";
+  auto journal_only =
+      store::RecoveryReplayer::replay(journal, dir_.path() + "/absent.json");
+  ASSERT_TRUE(journal_only.ok()) << journal_only.error().to_string();
+  ASSERT_TRUE(daemon.state_store()->compact().ok());
+  auto compacted =
+      store::RecoveryReplayer::replay(journal, dir_.path() + "/snapshot.json");
+  ASSERT_TRUE(compacted.ok()) << compacted.error().to_string();
+  EXPECT_EQ(job_image(journal_only.value()), job_image(compacted.value()));
 }
 
 TEST(StoreDisabledTest, DaemonWithoutDataDirReportsDisabled) {
